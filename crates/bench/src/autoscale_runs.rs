@@ -52,18 +52,15 @@ use mini_redis::apps::{
     CachedShardFrontApp, ReplyQueue, RequestQueue, ServerApp, ShardFrontApp, ShardMode,
 };
 use mini_redis::hash::shard_of;
-use mini_redis::{Command, Store};
+use mini_redis::Store;
 use parking_lot::Mutex;
 
-use crate::conformance_runs::ConformanceSummary;
+use crate::conformance_runs::{check_chain, ConformanceSummary};
+use crate::harness::{command_for, drive_one, lost_acked_sets, wait_until, DriveStats};
 use crate::report::Report;
-use crate::self_healing::check_repair_chain;
 
 /// The front-end `wait` deadline.
 const FRONT_TIMEOUT: Duration = Duration::from_millis(400);
-/// How long one request may retry (through transition windows) before
-/// it counts as refused.
-const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// Smallest / largest shard count the scaler may reach.
 const MIN_SHARDS: usize = 2;
 const MAX_SHARDS: usize = 4;
@@ -116,17 +113,6 @@ pub fn knobs(smoke: bool) -> DiurnalKnobs {
 /// Whether `CSAW_AUTOSCALE_SMOKE` asks for the compressed run.
 pub fn smoke_requested() -> bool {
     std::env::var("CSAW_AUTOSCALE_SMOKE").is_ok_and(|v| v != "0")
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -287,29 +273,6 @@ fn day() -> Vec<Stage> {
         // 20 r/s/shard < 30: merge. Post-merge 40 r/s/shard is in-band.
         Stage { name: "night_low", rate: 80.0, read_frac: 0.3, expect: g(2, false), expect_kind: Some("merge"), crash: None },
     ]
-}
-
-/// Deterministic workload: a small hot set written once up front, then
-/// unique-key SETs interleaved with hot GETs. The hot GETs are what the
-/// inserted cache tier memoizes; the unique SETs make retries across
-/// transition windows idempotent.
-fn command_for(i: usize) -> Command {
-    if i < 8 {
-        Command::Set(format!("hot{i}"), format!("hv{i}").into_bytes())
-    } else if i.is_multiple_of(3) {
-        Command::Get(format!("hot{}", i % 8))
-    } else {
-        Command::Set(format!("k{i}"), format!("v{i}").into_bytes())
-    }
-}
-
-/// What the traffic driver observed over one stage.
-#[derive(Debug, Default, Clone, Copy)]
-struct StageTraffic {
-    sent: usize,
-    acked: usize,
-    retried: usize,
-    refused: usize,
 }
 
 /// What one diurnal stage measured.
@@ -493,7 +456,7 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
 
     let mut failures: Vec<String> = Vec::new();
     let mut stage_results: Vec<StageResult> = Vec::new();
-    let acked_sets: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
+    let mut acked_sets: Vec<(String, Vec<u8>)> = Vec::new();
     let next_i = AtomicUsize::new(0);
     let mut cache_high = (0u64, 0u64);
 
@@ -514,18 +477,18 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
                 ..Default::default()
             })
         });
-        let (traffic, settled, repair_ok) = std::thread::scope(|s| {
+        let (mut traffic, settled, repair_ok) = std::thread::scope(|s| {
             let rt_ref = &rt;
             let requests = &requests;
             let replies = &replies;
             let stop_ref = &stop;
-            let acked_ref = &acked_sets;
             let next_ref = &next_i;
             let driver_thread = s.spawn(move || {
-                let mut t = StageTraffic::default();
+                let mut t = DriveStats::default();
                 while !stop_ref.load(Ordering::Relaxed) {
                     let cmd = command_for(next_ref.fetch_add(1, Ordering::Relaxed));
-                    drive_one(rt_ref, requests, replies, &cmd, &mut t, acked_ref);
+                    let replies_len = || replies.lock().len();
+                    drive_one(rt_ref, ("Fnt", "junction"), requests, replies_len, &cmd, &mut t);
                     std::thread::sleep(k.pace);
                 }
                 t
@@ -645,6 +608,7 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
             retried: traffic.retried,
             refused: traffic.refused,
         });
+        acked_sets.append(&mut traffic.acked_sets);
     }
 
     let records = scaler.records();
@@ -678,11 +642,7 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
         ));
     }
 
-    let acked_sets = acked_sets.into_inner();
-    let lost_acked_sets = acked_sets
-        .iter()
-        .filter(|(key, v)| !stores.iter().any(|s| s.lock().get(key) == Some(v.as_slice())))
-        .count();
+    let lost_acked_sets = lost_acked_sets(&acked_sets, &stores);
     if lost_acked_sets > 0 {
         failures.push(format!("{lost_acked_sets} acknowledged SETs lost"));
     }
@@ -699,7 +659,7 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
     // adds no epoch.
     let mut chain: Vec<&CompiledProgram> = vec![&boot];
     chain.extend(programs.iter());
-    let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+    let conformance = check_chain(&jsonl, dropped, &chain, false);
     if !conformance.ok {
         failures.push(format!("cross-epoch conformance: {}", conformance.detail));
     }
@@ -720,49 +680,5 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
         conformance,
         failures,
         trace_jsonl: jsonl,
-    }
-}
-
-/// Drive one command to completion: (re)queue it, invoke the front-end,
-/// and only count it acknowledged once a reply lands. Failed or
-/// reply-less attempts retry until [`REQUEST_DEADLINE`] — the retries
-/// carry requests across plan-phase holds and the repair window.
-fn drive_one(
-    rt: &Runtime,
-    requests: &RequestQueue,
-    replies: &ReplyQueue,
-    cmd: &Command,
-    t: &mut StageTraffic,
-    acked_sets: &Mutex<Vec<(String, Vec<u8>)>>,
-) {
-    t.sent += 1;
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let mut first = true;
-    loop {
-        if Instant::now() >= deadline {
-            t.refused += 1;
-            requests.lock().clear();
-            return;
-        }
-        if !first {
-            t.retried += 1;
-        }
-        first = false;
-        {
-            let mut q = requests.lock();
-            if q.is_empty() {
-                q.push_back(cmd.clone());
-            }
-        }
-        let before = replies.lock().len();
-        let invoked = rt.invoke("Fnt", "junction").is_ok();
-        if invoked && wait_until(Duration::from_millis(400), || replies.lock().len() > before) {
-            t.acked += 1;
-            if let Command::Set(key, v) = cmd {
-                acked_sets.lock().push((key.clone(), v.clone()));
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
     }
 }

@@ -14,19 +14,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use csaw_core::program::{CompiledProgram, LoadConfig};
 use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::{HostCtx, InstanceApp, Runtime, RuntimeConfig};
-use csaw_semantics::{check_jsonl, denote_program, ConformanceOptions, DenoteConfig};
+use csaw_semantics::{
+    check_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+};
 use mini_curl::apps::{AuditorApp, CurlApp};
 use mini_curl::LinkModel;
 use mini_redis::apps::{CacheApp, ServerApp, ShardFrontApp, ShardMode};
 use mini_redis::Command;
 
 use crate::chaos::{soak_checkpoint, soak_failover, soak_watched, ChaosSchedule, SoakOutcome};
+use crate::harness::wait_until;
 
 /// The digest of one conformance replay.
 #[derive(Clone, Debug)]
@@ -48,17 +51,41 @@ pub struct ConformanceSummary {
 }
 
 /// Drain a runtime's trace and replay it against the event structures
-/// denoted from the same compiled program. Returns the digest and the
-/// raw JSONL (for artifact dumps on failure).
-pub fn check_runtime_trace(rt: &Runtime, cp: &CompiledProgram) -> (ConformanceSummary, String) {
+/// denoted from the program chain it ran (see [`check_chain`]). Returns
+/// the digest and the raw JSONL (for artifact dumps on failure).
+pub fn check_runtime_trace(
+    rt: &Runtime,
+    chain: &[&CompiledProgram],
+) -> (ConformanceSummary, String) {
     let jsonl = rt.trace_jsonl();
-    let dropped = rt.trace_dropped();
-    let sem = denote_program(cp, &DenoteConfig::default());
-    // If the ring evicted events, a delivery's matching send may have
-    // been evicted rather than never sent — the pairing rule is only
-    // sound over a complete trace.
-    let opts = ConformanceOptions { require_send_for_apply: dropped == 0 };
-    let summary = match check_jsonl(&jsonl, Some(&sem), &opts) {
+    let summary = check_chain(&jsonl, rt.trace_dropped(), chain, false);
+    (summary, jsonl)
+}
+
+/// Replay a JSONL trace against the program chain it ran: the boot
+/// program, then the target of every `reconfig_cut` in cut order (one
+/// program for a run that never reconfigured). `dropped` counts events
+/// the trace ring evicted; `injected_applies` marks a trace whose
+/// deliveries the driver injected without a recorded send.
+pub(crate) fn check_chain(
+    jsonl: &str,
+    dropped: u64,
+    chain: &[&CompiledProgram],
+    injected_applies: bool,
+) -> ConformanceSummary {
+    let sems: Vec<ProgramSemantics> = chain
+        .iter()
+        .map(|p| denote_program(p, &DenoteConfig::default()))
+        .collect();
+    let sem_refs: Vec<Option<&ProgramSemantics>> = sems.iter().map(Some).collect();
+    // The send/apply pairing rule is only sound over a complete trace
+    // with no driver-injected deliveries: after ring eviction, a
+    // delivery's matching send may have been evicted rather than never
+    // sent.
+    let opts = ConformanceOptions {
+        require_send_for_apply: dropped == 0 && !injected_applies,
+    };
+    match check_jsonl(jsonl, &sem_refs, &opts) {
         Ok(report) => ConformanceSummary {
             ok: report.ok(),
             events: report.events,
@@ -83,8 +110,7 @@ pub fn check_runtime_trace(rt: &Runtime, cp: &CompiledProgram) -> (ConformanceSu
             dropped,
             detail: format!("trace parse error: {e}"),
         },
-    };
-    (summary, jsonl)
+    }
 }
 
 /// One architecture's conformance verdict.
@@ -115,19 +141,8 @@ impl ArchConformance {
 }
 
 fn finish(arch: &str, rt: &Runtime, cp: &CompiledProgram) -> ArchConformance {
-    let (summary, jsonl) = check_runtime_trace(rt, cp);
+    let (summary, jsonl) = check_runtime_trace(rt, &[cp]);
     ArchConformance { arch: arch.to_string(), summary, jsonl }
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    false
 }
 
 // ---------------------------------------------------------------------

@@ -391,8 +391,8 @@ fn cdf_report(id: &str, title: &str, ops: usize, reads: bool) -> Report {
             lat.cdf(100)
         });
         if let (Some(p50), Some(p99)) = (lat.quantile(0.5), lat.quantile(0.99)) {
-            report.note(&format!("{name}_p50_us"), p50.as_micros() as f64);
-            report.note(&format!("{name}_p99_us"), p99.as_micros() as f64);
+            report.note(&format!("{name}_p50_us"), p50.as_secs_f64() * 1e6);
+            report.note(&format!("{name}_p99_us"), p99.as_secs_f64() * 1e6);
         }
     }
     report.remark(

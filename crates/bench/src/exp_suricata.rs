@@ -161,6 +161,50 @@ pub fn fig24b(seconds: f64) -> Report {
 // Fig. 24c — normalized checkpointing overhead
 // ---------------------------------------------------------------------
 
+/// Per-window normalized overhead of a checkpointed run against its
+/// baseline (see [`window_overhead`]).
+#[derive(Debug, PartialEq)]
+struct WindowOverhead {
+    /// `(window start, baseline rate / checkpointed rate)` for every
+    /// window in which both runs processed packets.
+    series: Vec<(f64, f64)>,
+    /// Median of `series` (0 when it is empty).
+    median: f64,
+    /// Largest value of `series` (0 when it is empty).
+    spike: f64,
+    /// Seconds the checkpointed run processed nothing while the
+    /// baseline did: its empty windows times the window length.
+    stall_s: f64,
+}
+
+/// Compare two per-window rate series (`(window start, rate)`, as
+/// `Throughput::series` returns them). A window in which the
+/// checkpointed run processed nothing has no finite overhead ratio, so
+/// it counts toward the restore stall instead of the ratio statistics.
+fn window_overhead(
+    baseline: &[(f64, f64)],
+    checkpointed: &[(f64, f64)],
+    window_s: f64,
+) -> WindowOverhead {
+    let mut series = Vec::new();
+    let mut empty = 0usize;
+    for (&(t, b), &(_, c)) in baseline.iter().zip(checkpointed) {
+        if b > 0.0 && c > 0.0 {
+            series.push((t, b / c));
+        } else if b > 0.0 {
+            empty += 1;
+        }
+    }
+    let mut sorted: Vec<f64> = series.iter().map(|(_, o)| *o).collect();
+    sorted.sort_by(f64::total_cmp);
+    WindowOverhead {
+        median: sorted.get(sorted.len() / 2).copied().unwrap_or(0.0),
+        spike: sorted.last().copied().unwrap_or(0.0),
+        stall_s: empty as f64 * window_s,
+        series,
+    }
+}
+
 /// "Overhead is usually less than 10% and spikes to around 19× during
 /// checkpoint-restart-and-resume phases" — we compute the per-window
 /// normalized overhead of the checkpointed run against an unmodified
@@ -172,7 +216,9 @@ pub fn fig24c(seconds: f64) -> Report {
         packets: 300_000,
         ..Default::default()
     });
-    let window = Duration::from_secs_f64(seconds / 40.0);
+    // Fig. 24a's window length, so window k of both series covers the
+    // same stretch of time.
+    let window = Duration::from_secs_f64(seconds / 60.0);
     let baseline_series = {
         let mut engine = mini_suricata::Engine::new();
         let mut tp = Throughput::start(window);
@@ -191,28 +237,33 @@ pub fn fig24c(seconds: f64) -> Report {
     let ckpt_report = fig24a(seconds);
     let ckpt_series = &ckpt_report.series[0].points;
 
-    // Normalized overhead per window: baseline_rate / checkpointed_rate.
-    let n = baseline_series.len().min(ckpt_series.len());
-    let mut overhead = Vec::with_capacity(n);
-    for k in 0..n {
-        let b = baseline_series[k].1.max(1.0);
-        let c = ckpt_series[k].1.max(1.0);
-        overhead.push((baseline_series[k].0, b / c));
-    }
-    let spike = overhead.iter().map(|(_, o)| *o).fold(0.0, f64::max);
-    let steady: Vec<f64> = overhead.iter().map(|(_, o)| *o).collect();
-    let median = {
-        let mut s = steady.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        s[s.len() / 2]
-    };
+    let o = window_overhead(&baseline_series, ckpt_series, window.as_secs_f64());
     let mut report = Report::new("fig24c", "Normalized checkpointing overhead (Suricata)");
-    report.series("Packet Rate overhead", "time (s)", "normalized overhead (×)", overhead);
-    report.note("median_overhead_x", median);
-    report.note("spike_overhead_x", spike);
+    report.series("Packet Rate overhead", "time (s)", "normalized overhead (×)", o.series);
+    report.note("median_overhead_x", o.median);
+    report.note("spike_overhead_x", o.spike);
+    report.note("restore_stall_s", o.stall_s);
     report.remark(
         "expected shape: near-1× steady overhead with a large spike at the \
          checkpoint-restart-and-resume phase (paper Fig. 24c reports <10% steady, ~19× spike)",
     );
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn empty_checkpointed_window_is_a_stall_not_a_spike() {
+        // The restore stalls the checkpointed run for one whole window.
+        // Clamping its zero rate to 1 would report a 216070× spike.
+        let baseline = [(0.0, 216070.0), (0.2, 216070.0), (0.4, 216070.0), (0.6, 216070.0)];
+        let ckpt = [(0.0, 216070.0), (0.2, 0.0), (0.4, 108035.0), (0.6, 216070.0)];
+        let o = window_overhead(&baseline, &ckpt, 0.2);
+        assert_eq!(o.series, vec![(0.0, 1.0), (0.4, 2.0), (0.6, 1.0)]);
+        assert_eq!(o.median, 1.0);
+        assert_eq!(o.spike, 2.0);
+        assert!((o.stall_s - 0.2).abs() < 1e-12);
+    }
 }

@@ -35,6 +35,7 @@ pub mod exp_curl;
 pub mod exp_loc;
 pub mod exp_redis;
 pub mod exp_suricata;
+mod harness;
 pub mod overload;
 pub mod reconfig_runs;
 pub mod report;

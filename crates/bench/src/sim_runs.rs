@@ -100,8 +100,7 @@ use mini_redis::{Command, Reply, Store};
 use parking_lot::Mutex;
 
 use crate::chaos::KvFront;
-use crate::conformance_runs::ConformanceSummary;
-use crate::self_healing::check_repair_chain;
+use crate::conformance_runs::{check_chain, ConformanceSummary};
 
 /// Front-end `wait` deadline (virtual).
 const FRONT_TIMEOUT: Duration = Duration::from_millis(200);
@@ -760,7 +759,7 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
             chain.extend(programs.iter());
             // The zombie pokes and heal-window retries inject applies
             // with no matching send in the trace.
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, true);
+            let conformance = check_chain(&jsonl, dropped, &chain, true);
 
             let failure = if lost_acked > 0 {
                 Some(format!("lost {lost_acked} acked write(s): {detail}"))
@@ -1096,7 +1095,7 @@ fn wire_overload(spec: &ScheduleSpec) -> Scene {
             let programs = sup.programs();
             let mut chain: Vec<&CompiledProgram> = vec![&sh.boot];
             chain.extend(programs.iter());
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+            let conformance = check_chain(&jsonl, dropped, &chain, false);
 
             // Strict fail-fast admission sheds *almost everything* at
             // 4× offered: once the outbox pins at its bound, each
@@ -1526,7 +1525,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
             for (_, inst_n) in &applied {
                 chain.push(&sh.programs[inst_n]);
             }
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+            let conformance = check_chain(&jsonl, dropped, &chain, false);
             // Count against waves that actually fired: a shrunk replay
             // can suppress a wave injection, and a wave that never
             // fired owes no reconfiguration.
@@ -1974,7 +1973,7 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
             for target in applied.iter() {
                 chain.push(target);
             }
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+            let conformance = check_chain(&jsonl, dropped, &chain, false);
             let waves_fired = sh.waves_fired.load(Ordering::SeqCst);
             let waves_landed = sh.waves_landed.load(Ordering::SeqCst);
             let repair_ok = waves_landed == waves_fired;
@@ -2355,7 +2354,7 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
             let dropped = rt.trace_dropped();
             // Restart keeps the program; the only epoch is the boot
             // one. The repair hook injects a NeedState apply.
-            let conformance = check_repair_chain(&jsonl, dropped, &[&sh.boot], true);
+            let conformance = check_chain(&jsonl, dropped, &[&sh.boot], true);
 
             // Liveness, only when the walk reached the horizon and the
             // scripted crash actually fired (a shrunk replay can

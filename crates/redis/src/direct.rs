@@ -169,7 +169,8 @@ pub struct DirectCheckpointed {
     latest: Arc<Mutex<Option<Vec<u8>>>>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    /// Checkpoints taken.
+    /// Checkpoints the store thread has made durable (counted after
+    /// `latest` is set, so a nonzero count means recovery can succeed).
     pub checkpoints: Arc<AtomicU64>,
 }
 
@@ -185,9 +186,13 @@ impl DirectCheckpointed {
         // Checkpoint-store thread.
         let (srx, salive) = mgmt.register("ckpt-store");
         let latest2 = Arc::clone(&latest);
+        let counts = Arc::clone(&checkpoints);
         let store_thread = std::thread::spawn(move || loop {
             match srx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Frame::State(bytes)) => *latest2.lock() = Some(bytes),
+                Ok(Frame::State(bytes)) => {
+                    *latest2.lock() = Some(bytes);
+                    counts.fetch_add(1, Ordering::SeqCst);
+                }
                 Ok(Frame::NeedState(reply_to)) => {
                     let _ = reply_to.send(latest2.lock().clone());
                 }
@@ -207,7 +212,6 @@ impl DirectCheckpointed {
         let mgmt2 = Arc::clone(&mgmt);
         let stop2 = Arc::clone(&stop);
         let store2 = Arc::clone(&store);
-        let counts = Arc::clone(&checkpoints);
         let ticker = std::thread::spawn(move || {
             let mut next = Instant::now() + interval;
             while !stop2.load(Ordering::SeqCst) {
@@ -215,9 +219,7 @@ impl DirectCheckpointed {
                 if Instant::now() >= next {
                     next += interval;
                     if let Ok(blob) = store2.lock().checkpoint() {
-                        if mgmt2.send("ckpt-store", Frame::State(blob)).is_ok() {
-                            counts.fetch_add(1, Ordering::SeqCst);
-                        }
+                        let _ = mgmt2.send("ckpt-store", Frame::State(blob));
                     }
                 }
             }
@@ -443,6 +445,7 @@ mod tests {
             assert!(Instant::now() < deadline, "no checkpoint taken");
             std::thread::sleep(Duration::from_millis(5));
         }
+        assert!(sys.latest.lock().is_some(), "a counted checkpoint must be stored");
         sys.crash_and_recover().unwrap();
         assert_eq!(
             sys.request(Command::Get("a".into())).unwrap(),

@@ -7,7 +7,7 @@
 //! guarantee of the single-step engine: each phase quiesces only its
 //! own diff footprint, emits its own `reconfig_cut` trace event (so a
 //! trace spanning an N-phase plan checks as N+1 epochs under
-//! `csaw-semantics::check_multi_reconfig_trace` — cross-epoch
+//! `csaw-semantics::check` — cross-epoch
 //! conformance at every phase boundary, not just at the ends), and
 //! reports its own pause windows and phase-timing split.
 //!

@@ -40,7 +40,7 @@
 //! The executor emits `reconfig_*` trace events throughout, so a trace
 //! spanning a reconfiguration can be validated against the event
 //! structures of A before the cut and B after it
-//! (`csaw-semantics::conformance::check_reconfig_trace`).
+//! (`csaw-semantics::check` with the chain `[A, B]`).
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;

@@ -89,8 +89,7 @@ struct RouteState {
     /// Receiver instance name (interned).
     to: Box<str>,
     /// Sender-side sequence state: low-bits counter + conversation
-    /// generation, stamped together under one lock (per batch on the
-    /// batched path).
+    /// generation, stamped together under one lock.
     seq: Mutex<RouteSeq>,
     /// Installed fault plan, if any.
     faults: Mutex<Option<LinkFaults>>,
@@ -669,19 +668,6 @@ impl TcpLink {
         encode_frame_into(to, u, buf);
         stream.write_all(buf)
     }
-
-    /// Encode a whole batch into the reusable buffer and flush it with
-    /// a single `write_all` — one writer-lock acquisition and one
-    /// syscall for the batch instead of one each per frame.
-    fn send_many(&self, to: &JunctionId, updates: &[Update]) -> std::io::Result<()> {
-        let mut w = self.writer.lock();
-        let TcpWriter { stream, buf } = &mut *w;
-        buf.clear();
-        for u in updates {
-            encode_frame_into(to, u, buf);
-        }
-        stream.write_all(buf)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1167,8 +1153,8 @@ impl Network {
     }
 
     /// [`Network::with_telemetry`] plus an optional receiver batch
-    /// path: when the scheduler (or [`Network::send_batch`]) has a run
-    /// of updates for one junction, `deliver_batch` receives them as a
+    /// path: when the delay-queue scheduler has a run of due updates
+    /// for one junction, `deliver_batch` receives them as a
     /// single call after the fence/dedup filter, so the receiver can
     /// take its table lock once per run. Without it, batches fall back
     /// to the per-update callback.
@@ -1651,137 +1637,6 @@ impl Network {
                 }
                 Err((e, _)) => return Err(e),
             }
-        }
-    }
-
-    /// Send a whole batch of updates from one sender to one target
-    /// junction. Per-message bookkeeping is amortized over the batch:
-    /// one route-interner lookup, one fence read, one seq-lock
-    /// acquisition stamping every update, one fault-plan probe, and —
-    /// on an idle Direct link with no faults — a single batched
-    /// delivery that lets the receiver take its table lock once.
-    /// Faulted, delayed or non-Direct links fall back to per-update
-    /// attempts (each with the usual bounded retry), preserving exactly
-    /// the single-send fault and FIFO semantics.
-    ///
-    /// Returns how many updates were handed to the link; if any update
-    /// ultimately failed, the first error is returned after every
-    /// update has been attempted.
-    pub fn send_batch(
-        &self,
-        from_instance: &str,
-        to: &JunctionId,
-        mut updates: Vec<Update>,
-    ) -> Result<usize, SendError> {
-        if updates.is_empty() {
-            return Ok(0);
-        }
-        self.send_ops.fetch_add(1, Ordering::Relaxed);
-        let deadline = self.overload.ingress_deadline().map(|b| self.clock.now() + b);
-        let route = self.routes.get(from_instance, &to.instance);
-        let (stamp, floor) = self.fence.of(from_instance);
-        {
-            let mut s = route.seq.lock();
-            for u in updates.iter_mut() {
-                s.counter += 1;
-                u.seq = (stamp << FENCE_EPOCH_SHIFT)
-                    | ((s.gen & ROUTE_GEN_MASK) << ROUTE_GEN_SHIFT)
-                    | s.counter;
-            }
-            // One budget refill for the whole batch (each update is a
-            // fresh send), under the seq lock we already hold.
-            if self.overload.budget_enabled.load(Ordering::Relaxed) {
-                let cap = self.overload.budget_cap.load(Ordering::Relaxed);
-                let earn = self
-                    .overload
-                    .budget_per_send
-                    .load(Ordering::Relaxed)
-                    .saturating_mul(updates.len() as u64);
-                let cur = s.retry_tokens_milli.unwrap_or_else(|| {
-                    self.overload.budget_initial.load(Ordering::Relaxed)
-                });
-                s.retry_tokens_milli = Some(cap.min(cur.saturating_add(earn)));
-            }
-        }
-        if stamp < floor && self.fence.enabled.load(Ordering::Relaxed) {
-            self.fence.fenced.fetch_add(updates.len() as u64, Ordering::Relaxed);
-            if self.tracer.is_enabled() {
-                for u in &updates {
-                    let (fi, fj) = Network::sender_of(u);
-                    self.tracer.record_link_at(
-                        fi,
-                        fj,
-                        0,
-                        LinkEv::Fenced { from: from_instance, seq: u.seq },
-                    );
-                }
-            }
-            return Err(SendError::Fenced);
-        }
-        let n = updates.len();
-        let faulted = route.faults.lock().is_some();
-        let kind = self.link_kind(&route);
-        // Active overload gates (queue bounds / deadline shedding)
-        // disable the batched fast paths so every update passes the
-        // per-send admission checks.
-        let gated = self.overload.gates_sends()
-            || (deadline.is_some() && self.overload.shed_expired());
-        let direct_fast =
-            !faulted && !gated && matches!(kind, LinkKind::Direct) && self.link_idle(&route);
-        let tcp_fast = !faulted && !gated && matches!(kind, LinkKind::Tcp);
-        if direct_fast || tcp_fast {
-            let mut bytes = 0u64;
-            for u in &updates {
-                bytes += wire_size(u) as u64;
-            }
-            self.msgs_sent.fetch_add(n as u64, Ordering::Relaxed);
-            self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-            self.m_send.fetch_add(n as u64, Ordering::Relaxed);
-            if self.tracer.is_enabled() {
-                let (fi, fj, to_q) = self.route_trace_ids(&updates[0], to);
-                for u in &updates {
-                    self.tracer.record_link(
-                        &fi,
-                        &fj,
-                        0,
-                        LinkEv::Send {
-                            to: &to_q,
-                            key: &u.key,
-                            seq: u.seq,
-                            bytes: wire_size(u) as u64,
-                        },
-                    );
-                }
-            }
-            if tcp_fast {
-                let link = self.tcp_link(&route)?;
-                link.send_many(to, &updates)
-                    .map_err(|e| SendError::Transport(format!("tcp send: {e}")))?;
-                return Ok(n);
-            }
-            self.fast_path.fetch_add(n as u64, Ordering::Relaxed);
-            self.m_fast.fetch_add(n as u64, Ordering::Relaxed);
-            (self.deliver_batch)(to, updates);
-            return Ok(n);
-        }
-        // General path: per-update attempts with the usual retry, so
-        // fault plans see every message and delayed links keep their
-        // FIFO clamp semantics.
-        let mut delivered = 0usize;
-        let mut first_err: Option<SendError> = None;
-        for u in updates {
-            match self.send_stamped(&route, to, u, deadline) {
-                Ok(()) => delivered += 1,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            None => Ok(delivered),
-            Some(e) => Err(e),
         }
     }
 
@@ -2631,98 +2486,6 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_delivers_in_order_on_fast_path() {
-        let (net, rx) = batching_network();
-        let to = JunctionId::new("g", "junction");
-        let updates: Vec<Update> =
-            (0..64).map(|i| Update::data("n", Value::Int(i), "f::j")).collect();
-        let n = net.send_batch("f", &to, updates).unwrap();
-        assert_eq!(n, 64);
-        for i in 0..64 {
-            let (_, u, batched) = rx.try_recv().unwrap();
-            assert_eq!(u.kind, UpdateKind::Data(Value::Int(i)));
-            assert!(batched, "idle Direct link should take the batch path");
-            assert_ne!(u.seq, 0, "batch sends must be sequenced");
-        }
-        assert_eq!(net.stats().fast_path, 64);
-    }
-
-    #[test]
-    fn send_batch_seqs_interleave_with_single_sends() {
-        // A batch and surrounding single sends share one per-route
-        // counter: sequence numbers stay strictly increasing across the
-        // boundary, which is what receiver dedup and FIFO clamps key on.
-        let (net, rx) = batching_network();
-        let to = JunctionId::new("g", "junction");
-        net.send("f", &to, Update::data("n", Value::Int(-1), "f::j")).unwrap();
-        net.send_batch(
-            "f",
-            &to,
-            (0..10).map(|i| Update::data("n", Value::Int(i), "f::j")).collect(),
-        )
-        .unwrap();
-        net.send("f", &to, Update::data("n", Value::Int(10), "f::j")).unwrap();
-        let mut last = 0u64;
-        for _ in 0..12 {
-            let (_, u, _) = rx.try_recv().unwrap();
-            assert!(u.seq > last, "seq {} not > {}", u.seq, last);
-            last = u.seq;
-        }
-    }
-
-    #[test]
-    fn send_batch_respects_faults_and_dedup() {
-        // With a fault plan installed the batch falls back to per-update
-        // attempts: drops surface as errors, duplicates are deduped, and
-        // nothing is delivered twice.
-        let (net, rx) = batching_network();
-        net.set_fault_plan(
-            "f",
-            "g",
-            FaultPlan::none().with_dup(0.5).with_seed(7),
-        );
-        let to = JunctionId::new("g", "junction");
-        let n = net
-            .send_batch(
-                "f",
-                &to,
-                (0..50).map(|i| Update::data("n", Value::Int(i), "f::j")).collect(),
-            )
-            .unwrap();
-        assert_eq!(n, 50);
-        let mut got = Vec::new();
-        while let Ok((_, u, _)) = rx.recv_timeout(Duration::from_millis(200)) {
-            got.push(u.kind);
-        }
-        let expect: Vec<UpdateKind> =
-            (0..50).map(|i| UpdateKind::Data(Value::Int(i))).collect();
-        assert_eq!(got, expect, "dups must be suppressed, order preserved");
-        assert!(net.stats().dups > 0, "seed 7 at p=0.5 should inject dups");
-        assert!(net.stats().deduped >= net.stats().dups);
-    }
-
-    #[test]
-    fn send_batch_keeps_fifo_on_sim_link() {
-        let (net, rx) = batching_network();
-        net.set_link(
-            "f",
-            "g",
-            LinkKind::Sim { latency: Duration::from_millis(5), bandwidth: 0 },
-        );
-        let to = JunctionId::new("g", "junction");
-        net.send_batch(
-            "f",
-            &to,
-            (0..20).map(|i| Update::data("n", Value::Int(i), "f::j")).collect(),
-        )
-        .unwrap();
-        for i in 0..20 {
-            let (_, u, _) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-            assert_eq!(u.kind, UpdateKind::Data(Value::Int(i)));
-        }
-    }
-
-    #[test]
     fn scheduler_coalesces_same_destination_runs_into_batches() {
         // Packets for the same junction due together should land via the
         // batch callback, not twenty scheduler wakeups.
@@ -2762,19 +2525,13 @@ mod tests {
         for i in 0..100 {
             net.send("f", &to, Update::data("n", Value::Int(i), "f::j")).unwrap();
         }
-        net.send_batch(
-            "f",
-            &to,
-            (0..100).map(|i| Update::data("n", Value::Int(i), "f::j")).collect(),
-        )
-        .unwrap();
         assert_eq!(
             RetryPolicy::clones_on_this_thread(),
             before,
-            "send / send_batch must not clone the retry policy"
+            "send must not clone the retry policy"
         );
         drop(net);
-        assert_eq!(rx.iter().count(), 200);
+        assert_eq!(rx.iter().count(), 100);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property sweeps for the hot-path batching work, 48 consecutive
-//! seeds per property (base honors `CSAW_SEED`): mixed `send` /
-//! `send_batch` traffic under seeded chaos must preserve per-link FIFO
-//! and at-most-once delivery exactly like the singular path, the retry
-//! loop must deliver exactly once over lossy links, and deterministic
-//! simulation must stay byte-identical with batching active.
+//! seeds per property (base honors `CSAW_SEED`): `send` traffic under
+//! seeded chaos, delivered through both the per-update and the
+//! receiver-side batch callbacks, must preserve per-link FIFO and
+//! at-most-once delivery, the retry loop must deliver exactly once over
+//! lossy links, and deterministic simulation must stay byte-identical
+//! with batching active.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -53,28 +54,16 @@ fn upd(i: i64) -> Update {
     Update::data("n", Value::Int(i), "f::j")
 }
 
-/// Send `0..total` as a seed-dependent mix of single sends and batches
-/// of widths 1..=7, so every sweep exercises both paths and their
-/// interleaving at different boundaries.
-fn send_mixed(net: &Network, to: &JunctionId, total: i64, seed: u64) {
-    let mut i = 0i64;
-    let mut width = (seed % 7) as i64 + 1;
-    while i < total {
-        let n = width.min(total - i);
-        if n == 1 {
-            net.send("f", to, upd(i)).unwrap();
-        } else {
-            let sent = net.send_batch("f", to, (i..i + n).map(upd).collect()).unwrap();
-            assert_eq!(sent, n as usize);
-        }
-        i += n;
-        width = width % 7 + 1;
+/// Send `0..total` from `f` to `to`, one update per call.
+fn send_all(net: &Network, to: &JunctionId, total: i64) {
+    for i in 0..total {
+        net.send("f", to, upd(i)).unwrap();
     }
 }
 
 /// Duplication chaos: receiver dedup must suppress every injected
 /// duplicate, and the surviving stream must be the sent sequence in
-/// exact FIFO order — batched and singular sends alike.
+/// exact FIFO order.
 #[test]
 fn sweep_batched_fifo_and_dedup_under_duplication() {
     let base = env_seed(2000);
@@ -83,7 +72,7 @@ fn sweep_batched_fifo_and_dedup_under_duplication() {
         let (net, rx) = collecting_network();
         net.set_fault_plan("f", "g", FaultPlan::none().with_dup(0.4).with_seed(seed));
         let to = JunctionId::new("g", "junction");
-        send_mixed(&net, &to, 90, seed);
+        send_all(&net, &to, 90);
         let stats = net.stats();
         dups_total += stats.dups;
         assert!(
@@ -95,7 +84,7 @@ fn sweep_batched_fifo_and_dedup_under_duplication() {
         drop(net);
         let got: Vec<i64> = rx.iter().collect();
         let expect: Vec<i64> = (0..90).collect();
-        assert_eq!(got, expect, "seed {seed}: batched FIFO / at-most-once violated");
+        assert_eq!(got, expect, "seed {seed}: FIFO / at-most-once violated");
     }
     assert!(dups_total > 0, "sweep never injected a duplicate — chaos is vacuous");
 }
@@ -114,7 +103,7 @@ fn sweep_exactly_once_under_reordering() {
             FaultPlan::none().with_reorder(0.35, Duration::from_millis(3)).with_seed(seed),
         );
         let to = JunctionId::new("g", "junction");
-        send_mixed(&net, &to, 60, seed);
+        send_all(&net, &to, 60);
         let mut got = Vec::new();
         while got.len() < 60 {
             match rx.recv_timeout(Duration::from_secs(5)) {
@@ -132,7 +121,7 @@ fn sweep_exactly_once_under_reordering() {
 
 /// Lossy link with retries on: every message is eventually delivered
 /// exactly once and in order (sends are synchronous, so the retry loop
-/// preserves FIFO), across both send paths.
+/// preserves FIFO).
 #[test]
 fn sweep_exactly_once_over_lossy_link_with_retry() {
     let base = env_seed(4000);
@@ -147,7 +136,7 @@ fn sweep_exactly_once_over_lossy_link_with_retry() {
         });
         net.set_fault_plan("f", "g", FaultPlan::none().with_drop(0.25).with_seed(seed));
         let to = JunctionId::new("g", "junction");
-        send_mixed(&net, &to, 40, seed);
+        send_all(&net, &to, 40);
         retries_total += net.stats().retries;
         drop(net);
         let got: Vec<i64> = rx.iter().collect();
@@ -157,9 +146,9 @@ fn sweep_exactly_once_over_lossy_link_with_retry() {
     assert!(retries_total > 0, "sweep never exercised the retry loop — chaos is vacuous");
 }
 
-/// The seeded fault schedule must be a pure function of the seed for
-/// batched traffic too: two identical runs deliver identical streams
-/// and identical link statistics.
+/// The seeded fault schedule must be a pure function of the seed: two
+/// identical runs deliver identical streams and identical link
+/// statistics.
 #[test]
 fn sweep_fault_schedule_deterministic_for_batches() {
     let base = env_seed(5000);
@@ -173,14 +162,7 @@ fn sweep_fault_schedule_deterministic_for_batches() {
                 FaultPlan::none().with_drop(0.2).with_dup(0.2).with_seed(seed),
             );
             let to = JunctionId::new("g", "junction");
-            let mut outcomes = Vec::new();
-            let mut i = 0i64;
-            while i < 60 {
-                let n = (i % 5) + 1;
-                let r = net.send_batch("f", &to, (i..i + n).map(upd).collect());
-                outcomes.push(r.is_ok());
-                i += n;
-            }
+            let outcomes: Vec<bool> = (0..60).map(|i| net.send("f", &to, upd(i)).is_ok()).collect();
             let (dropped, dups) = {
                 let s = net.stats();
                 (s.drops, s.dups)
@@ -189,7 +171,7 @@ fn sweep_fault_schedule_deterministic_for_batches() {
             let got: Vec<i64> = rx.iter().collect();
             (outcomes, got, dropped, dups)
         };
-        assert_eq!(run(), run(), "seed {seed}: batched fault schedule not deterministic");
+        assert_eq!(run(), run(), "seed {seed}: fault schedule not deterministic");
     }
 }
 

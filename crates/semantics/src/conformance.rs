@@ -29,21 +29,18 @@
 //!    events *all* conflict pairwise contradict the semantics: no
 //!    valid configuration contains both (conflict-freeness, §8.1).
 //!
-//! A trace that spans a **live reconfiguration** (the runtime's
-//! `reconfig_*` events) is checked with [`check_reconfig_trace`]: the
-//! `reconfig_cut` record splits the trace into a pre-cut epoch validated
-//! against program A's event structures and a post-cut epoch validated
-//! against program B's, while the causality indexes (send-before-apply,
-//! at-most-once delivery) deliberately span the whole trace — an update
-//! sent before the cut and flushed after it is fine, but an update lost
-//! or applied twice *across* the cut is a violation (`rule:
-//! "reconfig"` flags activity that belongs to the wrong epoch's
-//! program). A trace the self-healing supervisor cut *repeatedly* —
-//! one repair per epoch — is checked with
-//! [`check_multi_reconfig_trace`] against the whole program chain, and
-//! its `repair_*` events must obey the detect → plan → (fence) →
-//! verify → done/failed protocol (`rule: "repair"`, see
-//! [`check_repair_events`]).
+//! One entry point, [`check`] (and [`check_jsonl`] over raw JSONL),
+//! checks every trace. A trace that spans **live reconfigurations**
+//! (the runtime's `reconfig_*` events) is split by its `reconfig_cut`
+//! records into epochs, each validated against its own program of the
+//! chain, while the causality indexes (send-before-apply, at-most-once
+//! delivery) deliberately span the whole trace: an update sent before
+//! a cut and flushed after it is fine, but an update lost or applied
+//! twice *across* a cut is a violation (`rule: "reconfig"` flags
+//! activity that belongs to the wrong epoch's program). A single-epoch
+//! trace is the zero-cut case. The self-healing supervisor's
+//! `repair_*` events must obey the detect → plan → (fence) → verify →
+//! done/failed protocol (`rule: "repair"`).
 //!
 //! Violations carry the offending `gsn` so the JSONL line can be
 //! located directly.
@@ -340,8 +337,8 @@ impl Default for ConformanceOptions {
 pub struct Violation {
     /// Global sequence number of the offending record.
     pub gsn: u64,
-    /// Rule family: `causality`, `update-rule`, `event-structure`, or
-    /// `overload`.
+    /// Rule family: `causality`, `update-rule`, `event-structure`,
+    /// `overload`, `reconfig` or `repair`.
     pub rule: &'static str,
     /// Human-readable diagnosis.
     pub detail: String,
@@ -433,80 +430,37 @@ impl JunctionReplay {
     }
 }
 
-/// Check a parsed trace. `semantics` (from
-/// [`crate::denote::denote_program`] on the same program) enables the
-/// event-structure rule; pass `None` for raw-table traces with no
-/// program behind them.
-pub fn check_trace(
+/// Check a parsed trace against the chain of programs it ran under.
+///
+/// `chain[k]` (from [`crate::denote::denote_program`]) validates the
+/// activations of epoch `k`. The epoch of an activation is the number
+/// of `reconfig_cut` records at or before its `sched`, so `chain[0]` is
+/// the boot program and `chain[k]` the program the `k`-th cut
+/// installed. A trace with no cut is the single-epoch case. A `None`
+/// entry (or an empty chain) skips the event-structure rule, for
+/// raw-table traces with no program behind them.
+///
+/// When the trace has at least one cut, each epoch's activity must
+/// belong to that epoch's program (`rule: "reconfig"`: an instance
+/// scheduled post-cut that only an earlier program knows is flagged),
+/// and a chain whose length is not `cuts + 1` is itself flagged; later
+/// epochs are then validated against the last entry rather than the
+/// wrong program silently. The causality indexes span the whole trace
+/// on purpose: a held update sent before a cut and flushed after it
+/// matches its send normally, while an update applied in two epochs is
+/// a duplicate. Re-linking an *existing* route mid-reconfiguration is
+/// safe for this view: the transport tags each route conversation with
+/// a generation carried in the sequence numbers' high bits, so the
+/// rewired route's restarted counter never repeats a `(sender,
+/// receiver, seq)` triple from before the rewire.
+///
+/// Every `repair_*` event must obey the supervisor's repair protocol
+/// (`rule: "repair"`): each repair id runs detect → \[escalate\] →
+/// plan → \[fence\] → verify → done/failed, with at most one terminal,
+/// and `repair_done` only after a `repair_verify` with `ok: true`.
+pub fn check(
     records: &[TraceRecord],
-    semantics: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> ConformanceReport {
-    check_trace_with(records, opts, false, &|_| (0, semantics))
-}
-
-/// Check a trace that spans one live reconfiguration from program A to
-/// program B.
-///
-/// The first `reconfig_cut` record is the epoch boundary: activations
-/// whose `sched` precedes it validate against `sem_a`, the rest against
-/// `sem_b`, and each epoch's activity must belong to that epoch's
-/// program (an instance scheduled post-cut that only A knows — or
-/// vice versa — is a `reconfig` violation). The causality indexes span
-/// the whole trace on purpose: a held update sent in epoch A and
-/// flushed in epoch B matches its send normally, while an update
-/// applied in *both* epochs is a duplicate. Traces with no
-/// `reconfig_cut` degrade to a plain [`check_trace`] against `sem_a`.
-///
-/// Re-linking an *existing* route mid-reconfiguration (via `set_link`
-/// in the spec) is safe for this view: the transport tags each route
-/// conversation with a generation carried in the sequence numbers'
-/// high bits, so the rewired route's restarted counter never repeats a
-/// `(sender, receiver, seq)` triple from before the rewire.
-pub fn check_reconfig_trace(
-    records: &[TraceRecord],
-    sem_a: Option<&ProgramSemantics>,
-    sem_b: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> ConformanceReport {
-    let cut = records
-        .iter()
-        .filter(|r| r.kind == "reconfig_cut")
-        .map(|r| r.gsn)
-        .min();
-    match cut {
-        None => check_trace(records, sem_a, opts),
-        Some(cut) => check_trace_with(records, opts, true, &move |gsn| {
-            if gsn < cut {
-                (0, sem_a)
-            } else {
-                (1, sem_b)
-            }
-        }),
-    }
-}
-
-/// Check a trace spanning *any number* of live reconfigurations — the
-/// self-healing supervisor's repairs cut the trace repeatedly, one
-/// program per epoch.
-///
-/// `sems[k]` validates the activations between cut `k-1` and cut `k`
-/// (`sems[0]` is the boot program, `sems[k]` the program installed by
-/// the `k`-th `reconfig_cut`). As in [`check_reconfig_trace`], the
-/// causality indexes span the whole trace: a held update crossing a cut
-/// matches its pre-cut send, a duplicate apply across any pair of
-/// epochs is flagged. When the chain length does not match the number
-/// of cuts observed (`sems.len() != cuts + 1`) the checker flags the
-/// mismatch and clamps to the last provided semantics rather than
-/// validating against the wrong program silently.
-///
-/// The trace's `repair_*` events are additionally validated by the
-/// [`check_repair_events`] rule: every repair id must run detect →
-/// plan → (fence) → verify → done/failed in order, and `repair_done`
-/// requires a passed verification.
-pub fn check_multi_reconfig_trace(
-    records: &[TraceRecord],
-    sems: &[Option<&ProgramSemantics>],
+    chain: &[Option<&ProgramSemantics>],
     opts: &ConformanceOptions,
 ) -> ConformanceReport {
     let mut cuts: Vec<u64> = records
@@ -515,45 +469,41 @@ pub fn check_multi_reconfig_trace(
         .map(|r| r.gsn)
         .collect();
     cuts.sort_unstable();
-    let n_cuts = cuts.len();
-    let mut report = if cuts.is_empty() {
-        check_trace(records, sems.first().copied().flatten(), opts)
-    } else {
-        let sems: Vec<Option<&ProgramSemantics>> = sems.to_vec();
-        check_trace_with(records, opts, true, &move |gsn| {
-            // The epoch side of a gsn is how many cuts precede it.
-            let side = cuts.partition_point(|&c| c <= gsn);
-            let ix = side.min(sems.len().saturating_sub(1));
-            (side, sems.get(ix).copied().flatten())
-        })
-    };
-    if n_cuts > 0 && sems.len() != n_cuts + 1 {
+    let mut report = replay(records, opts, &cuts, chain);
+    if !cuts.is_empty() && chain.len() != cuts.len() + 1 {
         report.violations.push(Violation {
             gsn: 0,
             rule: "reconfig",
             detail: format!(
-                "trace has {n_cuts} cut(s) but {} program semantics were \
+                "trace has {} cut(s) but {} program semantics were \
                  provided (expected {}); later epochs were validated \
                  against the last one",
-                sems.len(),
-                n_cuts + 1
+                cuts.len(),
+                chain.len(),
+                cuts.len() + 1
             ),
         });
     }
-    report.violations.extend(check_repair_events(records));
+    report.violations.extend(repair_violations(records));
     report.violations.sort_by_key(|v| v.gsn);
     report
 }
 
-/// Validate the supervisor's `repair_*` event protocol (`rule:
-/// "repair"`): for each repair id, events must run detect →
-/// \[escalate\] → plan → \[fence\] → verify → done/failed, with at most
-/// one terminal, and `repair_done` only after a `repair_verify` with
-/// `ok: true` — a repair declared done without passed verification is
-/// exactly the lie this rule exists to catch. A detection with no
-/// terminal is *not* a violation: the trace may end mid-repair, and a
-/// class with no registered ladder detects without repairing.
-pub fn check_repair_events(records: &[TraceRecord]) -> Vec<Violation> {
+/// Parse a JSONL trace and [`check`] it in one call.
+pub fn check_jsonl(
+    jsonl: &str,
+    chain: &[Option<&ProgramSemantics>],
+    opts: &ConformanceOptions,
+) -> Result<ConformanceReport, String> {
+    Ok(check(&parse_jsonl(jsonl)?, chain, opts))
+}
+
+/// The repair-protocol rule of [`check`]. A repair declared done
+/// without passed verification is exactly the lie this rule exists to
+/// catch. A detection with no terminal is *not* a violation: the trace
+/// may end mid-repair, and a class with no registered ladder detects
+/// without repairing.
+fn repair_violations(records: &[TraceRecord]) -> Vec<Violation> {
     #[derive(Default)]
     struct RepairState {
         detect: bool,
@@ -631,16 +581,22 @@ pub fn check_repair_events(records: &[TraceRecord]) -> Vec<Violation> {
     out
 }
 
-/// Shared single-pass checker. `pick` maps an activation's `sched` gsn
-/// to the (epoch side, semantics) it validates against; `strict_epoch`
-/// additionally requires every scheduled junction to exist in its
-/// epoch's program (reconfiguration mode).
-fn check_trace_with<'s>(
+/// The single replay pass behind [`check`]. `cuts` are the sorted
+/// `reconfig_cut` gsns; with at least one cut, every scheduled junction
+/// must also exist in its epoch's program.
+fn replay(
     records: &[TraceRecord],
     opts: &ConformanceOptions,
-    strict_epoch: bool,
-    pick: &dyn Fn(u64) -> (usize, Option<&'s ProgramSemantics>),
+    cuts: &[u64],
+    chain: &[Option<&ProgramSemantics>],
 ) -> ConformanceReport {
+    // An activation's epoch is how many cuts precede its `sched`.
+    let pick = |gsn: u64| {
+        let side = cuts.partition_point(|&c| c <= gsn);
+        let ix = side.min(chain.len().saturating_sub(1));
+        (side, chain.get(ix).copied().flatten())
+    };
+    let strict_epoch = !cuts.is_empty();
     let mut report = ConformanceReport { events: records.len(), ..Default::default() };
 
     let mut sorted: Vec<&TraceRecord> = records.iter().collect();
@@ -988,37 +944,6 @@ fn check_activation_labels(
     }
 }
 
-/// Parse a JSONL trace and check it in one call.
-pub fn check_jsonl(
-    jsonl: &str,
-    semantics: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    Ok(check_trace(&parse_jsonl(jsonl)?, semantics, opts))
-}
-
-/// Parse a JSONL trace spanning a reconfiguration and check it in one
-/// call (see [`check_reconfig_trace`]).
-pub fn check_reconfig_jsonl(
-    jsonl: &str,
-    sem_a: Option<&ProgramSemantics>,
-    sem_b: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    Ok(check_reconfig_trace(&parse_jsonl(jsonl)?, sem_a, sem_b, opts))
-}
-
-/// Parse a JSONL trace from a supervised (self-healing) run and check
-/// it across every repair's epoch in one call (see
-/// [`check_multi_reconfig_trace`]).
-pub fn check_repair_jsonl(
-    jsonl: &str,
-    sems: &[Option<&ProgramSemantics>],
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    Ok(check_multi_reconfig_trace(&parse_jsonl(jsonl)?, sems, opts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1071,7 +996,7 @@ mod tests {
             r#"{"gsn":6,"us":30,"i":"f","j":"serve","ep":1,"k":"unsched","ok":true}"#,
         ]);
         let opts = ConformanceOptions { require_send_for_apply: false };
-        let report = check_trace(&recs, None, &opts);
+        let report = check(&recs, &[None], &opts);
         assert_eq!(report.violations.len(), 1, "{}", report.describe());
         assert_eq!(report.violations[0].rule, "update-rule");
         assert_eq!(report.violations[0].gsn, 4);
@@ -1087,7 +1012,7 @@ mod tests {
             r#"{"gsn":5,"us":30,"i":"f","j":"serve","ep":1,"k":"unsched","ok":true}"#,
         ]);
         let opts = ConformanceOptions { require_send_for_apply: false };
-        let report = check_trace(&recs, None, &opts);
+        let report = check(&recs, &[None], &opts);
         assert!(report.ok(), "{}", report.describe());
     }
 
@@ -1105,7 +1030,7 @@ mod tests {
             r#"{"gsn":7,"us":6,"i":"f","j":"x","ep":2,"k":"unsched","ok":true}"#,
         ]);
         let opts = ConformanceOptions { require_send_for_apply: false };
-        assert!(check_trace(&valid, None, &opts).ok());
+        assert!(check(&valid, &[None], &opts).ok());
 
         let invalid = lines(&[
             r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched"}"#,
@@ -1114,7 +1039,7 @@ mod tests {
             r#"{"gsn":4,"us":3,"i":"f","j":"x","ep":1,"k":"unsched","ok":true}"#,
             r#"{"gsn":5,"us":5,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":1,"run":true}"#,
         ]);
-        let report = check_trace(&invalid, None, &opts);
+        let report = check(&invalid, &[None], &opts);
         assert!(!report.ok());
         assert_eq!(report.violations[0].rule, "update-rule");
     }
@@ -1131,7 +1056,7 @@ mod tests {
             r#"{"gsn":5,"us":4,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":2,"run":false}"#,
             r#"{"gsn":6,"us":5,"i":"f","j":"x","ep":3,"k":"kv_flush_apply","key":"W","from":"g::y","seq":7,"op":3,"run":false}"#,
         ]);
-        let report = check_trace(&recs, None, &ConformanceOptions::default());
+        let report = check(&recs, &[None], &ConformanceOptions::default());
         assert_eq!(report.violations.len(), 2, "{}", report.describe());
         assert!(report.violations.iter().all(|v| v.rule == "causality"));
     }
@@ -1146,7 +1071,7 @@ mod tests {
             r#"{"gsn":3,"us":2,"i":"g","j":"y","ep":1,"k":"link_shed","to":"f::x","seq":1}"#,
             r#"{"gsn":4,"us":3,"i":"g","j":"y","ep":1,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_trace(&valid, None, &ConformanceOptions::default());
+        let report = check(&valid, &[None], &ConformanceOptions::default());
         assert!(report.ok(), "{}", report.describe());
         assert_eq!(report.sheds, 1);
 
@@ -1157,7 +1082,7 @@ mod tests {
             r#"{"gsn":2,"us":1,"i":"g","j":"y","ep":1,"k":"link_shed","to":"f::x","seq":9}"#,
             r#"{"gsn":3,"us":2,"i":"g","j":"y","ep":1,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_trace(&invalid, None, &ConformanceOptions::default());
+        let report = check(&invalid, &[None], &ConformanceOptions::default());
         assert_eq!(report.violations.len(), 1, "{}", report.describe());
         assert_eq!(report.violations[0].rule, "overload");
 
@@ -1165,7 +1090,7 @@ mod tests {
         let control = lines(&[
             r#"{"gsn":1,"us":0,"i":"g","j":"y","ep":1,"k":"link_shed","to":"f::x","seq":0}"#,
         ]);
-        assert!(check_trace(&control, None, &ConformanceOptions::default()).ok());
+        assert!(check(&control, &[None], &ConformanceOptions::default()).ok());
     }
 
     #[test]
@@ -1182,7 +1107,7 @@ mod tests {
             r#"{"gsn":6,"us":5,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":2,"run":false}"#,
         ]);
         let report =
-            check_reconfig_trace(&recs, None, None, &ConformanceOptions::default());
+            check(&recs, &[None, None], &ConformanceOptions::default());
         assert_eq!(report.violations.len(), 1, "{}", report.describe());
         assert_eq!(report.violations[0].rule, "causality");
         assert_eq!(report.violations[0].gsn, 6);
@@ -1201,7 +1126,7 @@ mod tests {
             r#"{"gsn":5,"us":4,"i":"f","j":"x","ep":1,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":1,"run":false}"#,
         ]);
         let report =
-            check_reconfig_trace(&recs, None, None, &ConformanceOptions::default());
+            check(&recs, &[None, None], &ConformanceOptions::default());
         assert!(report.ok(), "{}", report.describe());
     }
 
@@ -1230,12 +1155,8 @@ mod tests {
             r#"{"gsn":6,"us":5,"i":"old","j":"j","ep":2,"k":"sched"}"#,
             r#"{"gsn":7,"us":6,"i":"old","j":"j","ep":2,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_reconfig_trace(
-            &recs,
-            Some(&sem_a),
-            Some(&sem_b),
-            &ConformanceOptions::default(),
-        );
+        let report =
+            check(&recs, &[Some(&sem_a), Some(&sem_b)], &ConformanceOptions::default());
         let reconfig: Vec<_> = report
             .violations
             .iter()
@@ -1252,7 +1173,7 @@ mod tests {
             r#"{"gsn":2,"us":1,"i":"f","j":"x","ep":1,"k":"unsched","ok":true}"#,
         ]);
         let report =
-            check_reconfig_trace(&recs, None, None, &ConformanceOptions::default());
+            check(&recs, &[None, None], &ConformanceOptions::default());
         assert!(report.ok());
     }
 
@@ -1265,7 +1186,7 @@ mod tests {
             r#"{"gsn":4,"us":3,"i":"b","j":"-","ep":0,"k":"repair_verify","ok":true,"n":0}"#,
             r#"{"gsn":5,"us":4,"i":"b","j":"-","ep":0,"k":"repair_done","n":0,"seq":1500}"#,
         ]);
-        assert!(check_repair_events(&recs).is_empty());
+        assert!(check(&recs, &[], &ConformanceOptions::default()).ok());
     }
 
     #[test]
@@ -1282,7 +1203,7 @@ mod tests {
             r#"{"gsn":6,"us":5,"i":"c","j":"-","ep":0,"k":"repair_plan","to":"restart","n":1,"seq":0}"#,
             r#"{"gsn":7,"us":6,"i":"c","j":"-","ep":0,"k":"repair_done","n":1,"seq":10}"#,
         ]);
-        let v = check_repair_events(&recs);
+        let v = check(&recs, &[], &ConformanceOptions::default()).violations;
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.rule == "repair"));
         assert_eq!(v[0].gsn, 4);
@@ -1301,7 +1222,7 @@ mod tests {
             r#"{"gsn":5,"us":4,"i":"d","j":"-","ep":0,"k":"repair_failed","n":2}"#,
             r#"{"gsn":6,"us":5,"i":"d","j":"-","ep":0,"k":"repair_failed","n":2}"#,
         ]);
-        let v = check_repair_events(&recs);
+        let v = check(&recs, &[], &ConformanceOptions::default()).violations;
         assert_eq!(v.len(), 3, "{v:?}");
     }
 
@@ -1333,7 +1254,7 @@ mod tests {
             r#"{"gsn":9,"us":8,"i":"b","j":"j","ep":2,"k":"sched"}"#,
             r#"{"gsn":10,"us":9,"i":"b","j":"j","ep":2,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_multi_reconfig_trace(
+        let report = check(
             &recs,
             &[Some(&sem_a), Some(&sem_b), Some(&sem_c)],
             &ConformanceOptions::default(),
@@ -1346,7 +1267,7 @@ mod tests {
         // Same trace with a short chain: the mismatch itself is flagged
         // (plus the b::j sched now judged against the clamped sem_b is
         // clean — exactly why the mismatch must be loud).
-        let short = check_multi_reconfig_trace(
+        let short = check(
             &recs,
             &[Some(&sem_a), Some(&sem_b)],
             &ConformanceOptions::default(),
@@ -1373,7 +1294,7 @@ mod tests {
             r#"{"gsn":6,"us":5,"i":"","j":"","ep":0,"k":"reconfig_cut"}"#,
             r#"{"gsn":7,"us":6,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":2,"run":false}"#,
         ]);
-        let report = check_multi_reconfig_trace(
+        let report = check(
             &recs,
             &[None, None, None],
             &ConformanceOptions::default(),
@@ -1389,7 +1310,7 @@ mod tests {
             r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched"}"#,
             r#"{"gsn":2,"us":1,"i":"f","j":"x","ep":1,"k":"sched"}"#,
         ]);
-        let report = check_trace(&recs, None, &ConformanceOptions::default());
+        let report = check(&recs, &[None], &ConformanceOptions::default());
         // Double-sched and non-advancing epoch.
         assert_eq!(report.violations.len(), 2);
     }

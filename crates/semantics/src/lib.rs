@@ -31,9 +31,8 @@ pub mod plan_check;
 pub mod topology;
 
 pub use conformance::{
-    check_jsonl, check_multi_reconfig_trace, check_reconfig_jsonl, check_reconfig_trace,
-    check_repair_events, check_repair_jsonl, check_trace, parse_json_line, parse_jsonl,
-    ConformanceOptions, ConformanceReport, TraceRecord, Violation,
+    check, check_jsonl, parse_json_line, parse_jsonl, ConformanceOptions, ConformanceReport,
+    TraceRecord, Violation,
 };
 pub use denote::{denote_junction, denote_program, DenoteConfig, ProgramSemantics};
 pub use plan_check::{check_plan, PlanCheckReport, PlanViolation};

@@ -24,7 +24,7 @@ use csaw::runtime::{
     RepairRecord, Runtime, RuntimeConfig, SupervisorConfig,
 };
 use csaw::semantics::{
-    check_repair_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+    check_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
 };
 
 const FRONT_TIMEOUT: Duration = Duration::from_millis(300);
@@ -302,7 +302,7 @@ fn split_brain_is_prevented_by_the_supervisor_fence() {
     // send/apply pairing rule is off; everything else is in force.
     let opts = ConformanceOptions { require_send_for_apply: false };
     assert_eq!(out.trace_dropped, 0, "trace evicted records; buffer too small");
-    let report = check_repair_jsonl(&out.trace_jsonl, &sems, &opts).expect("trace parses");
+    let report = check_jsonl(&out.trace_jsonl, &sems, &opts).expect("trace parses");
     assert!(
         report.ok(),
         "cross-epoch violations:\n{}",
